@@ -135,11 +135,6 @@ def setup_workload(module, spec: KernelSpec):
     return interp.memory, interp.global_addresses, args
 
 
-#: Deprecated alias (pre-public name); importers should use
-#: :func:`setup_workload`.
-_setup_workload = setup_workload
-
-
 def _checksum(module, memory, global_addresses, spec: KernelSpec) -> float:
     interp = Interpreter(module, memory, global_addresses=global_addresses)
     return interp.call(spec.check_function, [])

@@ -98,6 +98,14 @@ class _TracingMemory(Memory):
         self._sink(addr, True)
         Memory.write_bytes(self, addr, data)
 
+    def load_scalar(self, addr: int, codec):
+        self._sink(addr, False)
+        return Memory.load_scalar(self, addr, codec)
+
+    def store_scalar(self, addr: int, codec, value) -> None:
+        self._sink(addr, True)
+        Memory.store_scalar(self, addr, codec, value)
+
 
 def run_on_mips(
     module: Module,

@@ -12,8 +12,9 @@ function:
   dispatch happens here, at build time, never on the hot path;
 * every SSA value gets a slot in a flat ``regs`` list (constants are baked
   into the closures, globals are filled in at frame construction);
-* the ``eval_binop``-family semantics are bound directly into the
-  closures (same functions, same error messages, same rounding);
+* opcode semantics come from the :mod:`repro.interp.ops` builders, bound
+  into the closures once (the same table the interpreter and the event
+  engine use: same functions, same error messages, same rounding);
 * branch edges pre-resolve the target's phi moves, so a taken edge is a
   batch of register copies instead of a phi walk.
 
@@ -34,18 +35,13 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING
 
-from ..errors import InterpError, SimulationError
+from ..errors import SimulationError
 from ..interp.interpreter import MALLOC_NAMES
-from ..interp.memory import round_f32, to_unsigned, wrap_int
-from ..interp.ops import eval_cast, eval_gep
+from ..interp.ops import binop_fn, cast_fn, fcmp_fn, gep_terms, icmp_fn
 from ..ir.basicblock import BasicBlock
 from ..ir.function import Function
 from ..ir.instructions import (
-    FCMP_FUNCS,
-    FLOAT_BINOP_FUNCS,
     GEP,
-    ICMP_FUNCS,
-    INT_BINOP_FUNCS,
     Alloca,
     BinaryOp,
     Call,
@@ -68,7 +64,6 @@ from ..ir.instructions import (
     Store,
     StoreLiveout,
 )
-from ..ir.types import ArrayType, FloatType, StructType
 from ..ir.values import Constant, GlobalVariable
 from ..rtl.schedule import FunctionSchedule, schedule_function
 from ..telemetry.events import CycleCategory
@@ -87,10 +82,6 @@ _WAIT_JOIN = "wait_join"
 _CALL = "call"
 _RET = "ret"
 _BRANCH = "branch"
-
-#: Opcodes whose int-binop operands are reinterpreted as unsigned
-#: (mirrors :func:`repro.interp.ops.eval_binop` exactly).
-_UNSIGNED_BINOPS = ("udiv", "urem", "lshr", "ult")
 
 #: Instruction classes whose steps touch only the frame's registers.
 _PURE_OPS = (BinaryOp, ICmp, FCmp, GEP, Cast, Select, Phi)
@@ -258,24 +249,11 @@ class SpecializedProgram:
         """Return ``(step, probe)`` closures for one scheduled op."""
         opcode = inst.opcode
         if isinstance(inst, BinaryOp):
-            return self._compile_binop(inst), None
+            return self._compile_binary(inst, binop_fn(inst)), None
         if isinstance(inst, ICmp):
-            return self._compile_icmp(inst), None
+            return self._compile_binary(inst, icmp_fn(inst)), None
         if isinstance(inst, FCmp):
-            dst = self._slots[id(inst)]
-            ia, ca = self._bind(inst.lhs)
-            ib, cb = self._bind(inst.rhs)
-            fn = FCMP_FUNCS[inst.pred]
-
-            def step(worker, frame, cycle):
-                worker.stats.ops_executed[opcode] += 1
-                regs = frame.regs
-                a = regs[ia] if ia >= 0 else ca
-                b = regs[ib] if ib >= 0 else cb
-                regs[dst] = int(fn(a, b))
-                return _OK
-
-            return step, None
+            return self._compile_binary(inst, fcmp_fn(inst)), None
         if isinstance(inst, GEP):
             return self._compile_gep(inst), None
         if isinstance(inst, Cast):
@@ -396,172 +374,67 @@ class SpecializedProgram:
 
         return step, None
 
-    def _compile_binop(self, inst: BinaryOp):
+    def _compile_binary(self, inst: Instruction, fn):
+        """Step applying a two-operand ``fn`` from :mod:`repro.interp.ops`."""
         dst = self._slots[id(inst)]
         opcode = inst.opcode
-        ia, ca = self._bind(inst.lhs)
-        ib, cb = self._bind(inst.rhs)
-        if opcode in FLOAT_BINOP_FUNCS:
-            fn = FLOAT_BINOP_FUNCS[opcode]
-            narrow = isinstance(inst.type, FloatType) and inst.type.bits == 32
-
-            def step(worker, frame, cycle):
-                worker.stats.ops_executed[opcode] += 1
-                regs = frame.regs
-                a = regs[ia] if ia >= 0 else ca
-                b = regs[ib] if ib >= 0 else cb
-                try:
-                    result = fn(a, b)
-                except ZeroDivisionError:
-                    raise InterpError("float division by zero") from None
-                regs[dst] = round_f32(result) if narrow else result
-                return _OK
-
-            return step
-        bits = inst.type.bits  # type: ignore[union-attr]
-        fn = INT_BINOP_FUNCS[opcode]
-        if opcode in _UNSIGNED_BINOPS:
-
-            def step(worker, frame, cycle):
-                worker.stats.ops_executed[opcode] += 1
-                regs = frame.regs
-                a = to_unsigned(int(regs[ia] if ia >= 0 else ca), bits)
-                b = to_unsigned(int(regs[ib] if ib >= 0 else cb), bits)
-                try:
-                    raw = fn(a, b)
-                except ZeroDivisionError:
-                    raise InterpError("integer division by zero") from None
-                regs[dst] = wrap_int(raw, bits)
-                return _OK
-
-            return step
+        ia, ca = self._bind(inst.operands[0])
+        ib, cb = self._bind(inst.operands[1])
 
         def step(worker, frame, cycle):
             worker.stats.ops_executed[opcode] += 1
             regs = frame.regs
-            a = regs[ia] if ia >= 0 else ca
-            b = regs[ib] if ib >= 0 else cb
-            try:
-                raw = fn(int(a), int(b))
-            except ZeroDivisionError:
-                raise InterpError("integer division by zero") from None
-            regs[dst] = wrap_int(raw, bits)
-            return _OK
-
-        return step
-
-    def _compile_icmp(self, inst: ICmp):
-        dst = self._slots[id(inst)]
-        opcode = inst.opcode
-        ia, ca = self._bind(inst.lhs)
-        ib, cb = self._bind(inst.rhs)
-        fn = ICMP_FUNCS[inst.pred]
-        if inst.pred.startswith("u") or inst.lhs.type.is_pointer:
-            bits = 32 if inst.lhs.type.is_pointer else inst.lhs.type.bits
-
-            def step(worker, frame, cycle):
-                worker.stats.ops_executed[opcode] += 1
-                regs = frame.regs
-                a = to_unsigned(int(regs[ia] if ia >= 0 else ca), bits)
-                b = to_unsigned(int(regs[ib] if ib >= 0 else cb), bits)
-                regs[dst] = int(fn(a, b))
-                return _OK
-
-            return step
-
-        def step(worker, frame, cycle):
-            worker.stats.ops_executed[opcode] += 1
-            regs = frame.regs
-            a = regs[ia] if ia >= 0 else ca
-            b = regs[ib] if ib >= 0 else cb
-            regs[dst] = int(fn(a, b))
+            regs[dst] = fn(regs[ia] if ia >= 0 else ca, regs[ib] if ib >= 0 else cb)
             return _OK
 
         return step
 
     def _compile_gep(self, inst: GEP):
+        """``base + const + Σ coef·idx``: the layout walk and constant
+        indices fold at specialize time (:func:`repro.interp.ops.gep_terms`)."""
         dst = self._slots[id(inst)]
         opcode = inst.opcode
         ibase, cbase = self._bind(inst.base)
-        binds = [self._bind(i) for i in inst.indices]
-        # Reduce the address computation to ``base + const + Σ coef·idx``
-        # by walking the pointee type at specialize time (struct field
-        # offsets need constant indices — the frontend only emits those).
-        pointee = inst.base.type.pointee  # type: ignore[union-attr]
-        terms: list[tuple[int, tuple[int, object]]] = [(pointee.size(), binds[0])]
-        const_off = 0
-        current = pointee
-        static = True
-        for bind, _idx in zip(binds[1:], inst.indices[1:]):
-            if isinstance(current, StructType):
-                slot, const = bind
-                if slot >= 0:
-                    static = False
-                    break
-                field = int(const)  # type: ignore[arg-type]
-                const_off += current.field_offset(field)
-                current = current.field_type(field)
-            elif isinstance(current, ArrayType):
-                terms.append((current.element.size(), bind))
-                current = current.element
+        const_off, terms = gep_terms(inst)
+        live: list[tuple[int, int]] = []
+        for coef, k in terms:
+            slot, const = self._bind(inst.indices[k])
+            if slot < 0:
+                const_off += coef * int(const)  # type: ignore[arg-type]
             else:
-                static = False
-                break
-        if static:
-            live: list[tuple[int, int]] = []
-            for coef, (slot, const) in terms:
-                if slot < 0:
-                    const_off += coef * int(const)  # type: ignore[arg-type]
-                else:
-                    live.append((coef, slot))
-            if len(live) == 1:
-                coef0, s0 = live[0]
-
-                def step(worker, frame, cycle):
-                    worker.stats.ops_executed[opcode] += 1
-                    regs = frame.regs
-                    base = regs[ibase] if ibase >= 0 else cbase
-                    regs[dst] = (
-                        int(base) + coef0 * int(regs[s0]) + const_off
-                    ) & 0xFFFFFFFF
-                    return _OK
-
-                return step
-            if len(live) == 2:
-                coef0, s0 = live[0]
-                coef1, s1 = live[1]
-
-                def step(worker, frame, cycle):
-                    worker.stats.ops_executed[opcode] += 1
-                    regs = frame.regs
-                    base = regs[ibase] if ibase >= 0 else cbase
-                    regs[dst] = (
-                        int(base)
-                        + coef0 * int(regs[s0])
-                        + coef1 * int(regs[s1])
-                        + const_off
-                    ) & 0xFFFFFFFF
-                    return _OK
-
-                return step
+                live.append((coef, slot))
+        if len(live) == 1:
+            ((coef0, s0),) = live
 
             def step(worker, frame, cycle):
                 worker.stats.ops_executed[opcode] += 1
                 regs = frame.regs
-                addr = int(regs[ibase] if ibase >= 0 else cbase) + const_off
-                for coef, slot in live:
-                    addr += coef * int(regs[slot])
-                regs[dst] = addr & 0xFFFFFFFF
+                base = regs[ibase] if ibase >= 0 else cbase
+                regs[dst] = (base + coef0 * regs[s0] + const_off) & 0xFFFFFFFF
+                return _OK
+
+            return step
+        if len(live) == 2:
+            (coef0, s0), (coef1, s1) = live
+
+            def step(worker, frame, cycle):
+                worker.stats.ops_executed[opcode] += 1
+                regs = frame.regs
+                base = regs[ibase] if ibase >= 0 else cbase
+                regs[dst] = (
+                    base + coef0 * regs[s0] + coef1 * regs[s1] + const_off
+                ) & 0xFFFFFFFF
                 return _OK
 
             return step
 
-        def step(worker, frame, cycle, inst=inst):
+        def step(worker, frame, cycle):
             worker.stats.ops_executed[opcode] += 1
             regs = frame.regs
-            base = regs[ibase] if ibase >= 0 else cbase
-            idx = [regs[s] if s >= 0 else c for s, c in binds]
-            regs[dst] = eval_gep(inst, base, idx)
+            addr = (regs[ibase] if ibase >= 0 else cbase) + const_off
+            for coef, slot in live:
+                addr += coef * regs[slot]
+            regs[dst] = addr & 0xFFFFFFFF
             return _OK
 
         return step
@@ -570,42 +443,12 @@ class SpecializedProgram:
         dst = self._slots[id(inst)]
         opcode = inst.opcode
         iv, cv = self._bind(inst.value)
-        if opcode in ("trunc", "fptosi"):
-            bits = inst.type.bits  # type: ignore[union-attr]
+        fn = cast_fn(inst)
 
-            def step(worker, frame, cycle):
-                worker.stats.ops_executed[opcode] += 1
-                regs = frame.regs
-                regs[dst] = wrap_int(int(regs[iv] if iv >= 0 else cv), bits)
-                return _OK
-
-            return step
-        if opcode == "zext":
-            src_bits = inst.value.type.bits  # type: ignore[union-attr]
-
-            def step(worker, frame, cycle):
-                worker.stats.ops_executed[opcode] += 1
-                regs = frame.regs
-                regs[dst] = to_unsigned(
-                    int(regs[iv] if iv >= 0 else cv), src_bits
-                )
-                return _OK
-
-            return step
-        if opcode == "sext":
-
-            def step(worker, frame, cycle):
-                worker.stats.ops_executed[opcode] += 1
-                regs = frame.regs
-                regs[dst] = int(regs[iv] if iv >= 0 else cv)
-                return _OK
-
-            return step
-
-        def step(worker, frame, cycle, inst=inst):
+        def step(worker, frame, cycle):
             worker.stats.ops_executed[opcode] += 1
             regs = frame.regs
-            regs[dst] = eval_cast(inst, regs[iv] if iv >= 0 else cv)
+            regs[dst] = fn(regs[iv] if iv >= 0 else cv)
             return _OK
 
         return step

@@ -1,11 +1,19 @@
-"""Explicit-stack IR interpreter.
+"""Explicit-stack IR interpreter over compiled programs.
 
-The interpreter executes one instruction per :meth:`Interpreter.step`, with
-an explicit call stack rather than Python recursion.  That design lets the
-functional pipeline checker (:mod:`repro.pipeline.cosim`) run many task
-interpreters round-robin, blocking individual machines on empty FIFO
-channels, and lets the MIPS baseline model charge per-instruction cycle
-costs through a profiler hook.
+Functions run as pre-resolved closures (:mod:`repro.interp.program`),
+compiled once per run.  Two drivers share one set of closures:
+
+* :meth:`Interpreter.call` runs whole blocks at a time and charges
+  ``steps`` once per segment;
+* :meth:`Interpreter.step` runs one instruction.  It serves the
+  ``on_execute``/``on_edge`` hooks (the MIPS baseline model, the
+  profiler) and the cooperative schedulers that run many task
+  interpreters round-robin, blocking individual machines on empty FIFO
+  channels (:mod:`repro.pipeline.cosim`, :mod:`repro.vsim.cosim`).
+
+Both count the same ``steps`` (phis excluded) and raise at the same step
+when ``max_steps`` is exceeded.  The call stack is explicit, so deep IR
+recursion never recurses in Python.
 """
 
 from __future__ import annotations
@@ -17,34 +25,7 @@ from typing import Callable
 from ..errors import InterpError
 from ..ir.basicblock import BasicBlock
 from ..ir.function import Function
-from ..ir.instructions import (
-    FCMP_FUNCS,
-    FLOAT_BINOP_FUNCS,
-    ICMP_FUNCS,
-    INT_BINOP_FUNCS,
-    GEP,
-    Alloca,
-    BinaryOp,
-    Call,
-    Cast,
-    CondBranch,
-    Consume,
-    FCmp,
-    ICmp,
-    Instruction,
-    Jump,
-    Load,
-    ParallelFork,
-    ParallelJoin,
-    Phi,
-    Produce,
-    ProduceBroadcast,
-    Ret,
-    RetrieveLiveout,
-    Select,
-    Store,
-    StoreLiveout,
-)
+from ..ir.instructions import Call, Instruction
 from ..ir.module import Module
 from ..ir.types import (
     ArrayType,
@@ -53,11 +34,17 @@ from ..ir.types import (
     PointerType,
     StructType,
 )
-from ..ir.values import Argument, Constant, GlobalVariable, Value
-from .memory import Memory, round_f32, to_unsigned, wrap_int
+from .memory import Memory
+from .program import (
+    MALLOC_NAMES,
+    Blocked,
+    Frame,
+    ProgramCache,
+    number_malloc_sites,
+)
 
-#: Names treated as heap-allocation builtins when declared without a body.
-MALLOC_NAMES = {"malloc"}
+__all__ = ["MALLOC_NAMES", "Interpreter", "ChannelIO", "RecordingChannelIO",
+           "Status", "BROADCAST_INDEX", "malloc_site_table"]
 
 
 class Status(enum.Enum):
@@ -66,10 +53,6 @@ class Status(enum.Enum):
     RUNNING = "running"
     BLOCKED = "blocked"  # waiting on an empty FIFO channel
     DONE = "done"
-
-
-class Blocked(Exception):
-    """Internal signal: the current instruction cannot make progress."""
 
 
 class ChannelIO:
@@ -180,22 +163,19 @@ class RecordingChannelIO(ChannelIO):
         return ok, value
 
 
-class _Frame:
-    """One activation record."""
-
-    __slots__ = ("function", "block", "index", "prev_block", "env", "call_inst")
-
-    def __init__(self, function: Function, call_inst: Instruction | None) -> None:
-        self.function = function
-        self.block: BasicBlock = function.entry
-        self.index = 0
-        self.prev_block: BasicBlock | None = None
-        self.env: dict[int, int | float] = {}
-        self.call_inst = call_inst  # instruction in the caller awaiting our result
+_BLOCKED_OUTSIDE_SCHEDULER = (
+    "interpreter blocked on an empty channel outside a cooperative scheduler"
+)
 
 
 class Interpreter:
-    """Executes IR functions against a shared :class:`Memory` image."""
+    """Executes IR functions against a shared :class:`Memory` image.
+
+    ``programs`` shares compiled functions between interpreters of one
+    run that have the same module and global placement (a fork handler
+    and its task interpreters); by default each interpreter compiles its
+    own, on first use of each function.
+    """
 
     def __init__(
         self,
@@ -208,6 +188,7 @@ class Interpreter:
         on_edge: Callable[[BasicBlock, BasicBlock], None] | None = None,
         global_addresses: dict[str, int] | None = None,
         fork_handler=None,
+        programs: ProgramCache | None = None,
     ) -> None:
         self.module = module
         self.memory = memory if memory is not None else Memory()
@@ -218,28 +199,27 @@ class Interpreter:
         self.on_execute = on_execute
         self.on_edge = on_edge
         self.fork_handler = fork_handler
-        self._stack: list[_Frame] = []
+        self._stack: list[Frame] = []
         self._return_value: int | float | None = None
-        self._alloc_sites = _number_malloc_sites(module)
         if global_addresses is not None:
             self.global_addresses = dict(global_addresses)
         else:
             self.global_addresses = _place_globals(module, self.memory)
+        if programs is None:
+            programs = ProgramCache(module, self.global_addresses)
+        self._programs = programs
 
     # -- public driving --------------------------------------------------------
 
     def call(self, function: Function | str, args: list[int | float]):
         """Run ``function`` to completion and return its return value."""
         self.start(function, args)
-        while True:
-            status = self.step()
-            if status is Status.DONE:
-                return self._return_value
-            if status is Status.BLOCKED:
-                raise InterpError(
-                    "interpreter blocked on an empty channel outside a "
-                    "cooperative scheduler"
-                )
+        if self.on_execute is None and self.on_edge is None:
+            self._run_segments()
+        while self._stack:
+            if self.step() is Status.BLOCKED:
+                raise InterpError(_BLOCKED_OUTSIDE_SCHEDULER)
+        return self._return_value
 
     def start(self, function: Function | str, args: list[int | float]) -> None:
         """Prepare a top-level call without running it (for step drivers)."""
@@ -247,15 +227,16 @@ class Interpreter:
             function = self.module.get_function(function)
         if self._stack:
             raise InterpError("interpreter is already running a call")
-        frame = _Frame(function, None)
         if len(args) != len(function.args):
             raise InterpError(
                 f"@{function.name}: expected {len(function.args)} args, "
                 f"got {len(args)}"
             )
-        for formal, actual in zip(function.args, args):
-            frame.env[id(formal)] = actual
-        self._stack.append(frame)
+        program = self._programs[function]
+        regs = program.template[:]
+        for slot, value in zip(program.arg_slots, args):
+            regs[slot] = value
+        self._stack.append(Frame(program, regs, None))
         self._return_value = None
 
     @property
@@ -268,284 +249,66 @@ class Interpreter:
 
     def step(self) -> Status:
         """Execute one instruction (or block without advancing)."""
-        if not self._stack:
+        stack = self._stack
+        if not stack:
             return Status.DONE
         self.steps += 1
         if self.steps > self.max_steps:
             raise InterpError(f"exceeded max_steps={self.max_steps}")
-        frame = self._stack[-1]
-        inst = frame.block.instructions[frame.index]
+        frame = stack[-1]
+        block, i = frame.block, frame.index
+        frame.index = i + 1
         try:
-            self._execute(frame, inst)
+            target = block.ops[i](frame.regs, self)
         except Blocked:
+            frame.index = i
             return Status.BLOCKED
-        if self.on_execute is not None:
-            self.on_execute(inst)
-        return Status.DONE if not self._stack else Status.RUNNING
+        on_execute = self.on_execute
+        if target is not None:
+            frame.block, frame.index = target, 0
+            if self.on_edge is not None:
+                self.on_edge(block.ir, target.ir)
+            if on_execute is not None:
+                for phi in target.phis:
+                    on_execute(phi)
+        if on_execute is not None:
+            on_execute(block.insts[i])
+        return Status.RUNNING if stack else Status.DONE
 
-    # -- evaluation -------------------------------------------------------------
-
-    def _value(self, frame: _Frame, v: Value):
-        if isinstance(v, Constant):
-            return v.value
-        if isinstance(v, GlobalVariable):
-            return self.global_addresses[v.name]
+    def _run_segments(self) -> None:
+        """Run whole segments until the call returns, or until the next
+        segment would pass ``max_steps`` (the caller then steps)."""
+        stack = self._stack
+        limit = self.max_steps
+        steps = self.steps
+        frame = stack[-1]
+        regs, block, i = frame.regs, frame.block, frame.index
         try:
-            return frame.env[id(v)]
-        except KeyError:
-            raise InterpError(
-                f"use of undefined value {v.short_name()} in "
-                f"@{frame.function.name}"
-            ) from None
-
-    def _set(self, frame: _Frame, inst: Instruction, value) -> None:
-        frame.env[id(inst)] = value
-        frame.index += 1
-
-    def _advance(self, frame: _Frame) -> None:
-        frame.index += 1
-
-    def _goto(self, frame: _Frame, target: BasicBlock) -> None:
-        if self.on_edge is not None:
-            self.on_edge(frame.block, target)
-        frame.prev_block = frame.block
-        frame.block = target
-        frame.index = 0
-        # Evaluate all phis of the target atomically with respect to each
-        # other (they conceptually execute in parallel on the edge).
-        phis = target.phis()
-        if phis:
-            values = [
-                self._value(frame, phi.incoming_for(frame.prev_block)) for phi in phis
-            ]
-            for phi, value in zip(phis, values):
-                frame.env[id(phi)] = value
-                if self.on_execute is not None:
-                    self.on_execute(phi)
-            frame.index = len(phis)
-
-    # -- instruction dispatch ------------------------------------------------------
-
-    def _execute(self, frame: _Frame, inst: Instruction) -> None:
-        if isinstance(inst, BinaryOp):
-            self._set(frame, inst, self._binop(frame, inst))
-        elif isinstance(inst, ICmp):
-            self._set(frame, inst, self._icmp(frame, inst))
-        elif isinstance(inst, FCmp):
-            a = self._value(frame, inst.lhs)
-            b = self._value(frame, inst.rhs)
-            self._set(frame, inst, int(FCMP_FUNCS[inst.pred](a, b)))
-        elif isinstance(inst, Alloca):
-            addr = self.memory.alloc_object(inst.allocated_type, site=-2)
-            self._set(frame, inst, addr)
-        elif isinstance(inst, Load):
-            addr = self._value(frame, inst.pointer)
-            self._set(frame, inst, self.memory.load(addr, inst.type))
-        elif isinstance(inst, Store):
-            addr = self._value(frame, inst.pointer)
-            self.memory.store(addr, inst.value.type, self._value(frame, inst.value))
-            self._advance(frame)
-        elif isinstance(inst, GEP):
-            self._set(frame, inst, self._gep(frame, inst))
-        elif isinstance(inst, Jump):
-            self._goto(frame, inst.target)
-        elif isinstance(inst, CondBranch):
-            cond = self._value(frame, inst.cond)
-            self._goto(frame, inst.if_true if cond else inst.if_false)
-        elif isinstance(inst, Phi):
-            # Reached only when stepping resumes mid-block; phis are
-            # evaluated by _goto, so the value must already exist.
-            if id(inst) not in frame.env:
-                raise InterpError("phi encountered outside a block entry")
-            frame.index += 1
-        elif isinstance(inst, Call):
-            self._call(frame, inst)
-        elif isinstance(inst, Ret):
-            value = None if inst.value is None else self._value(frame, inst.value)
-            self._stack.pop()
-            if self._stack:
-                caller = self._stack[-1]
-                if value is not None:
-                    caller.env[id(frame.call_inst)] = value
-                caller.index += 1
-            else:
-                self._return_value = value
-        elif isinstance(inst, Cast):
-            self._set(frame, inst, self._cast(frame, inst))
-        elif isinstance(inst, Select):
-            cond, tv, fv = (self._value(frame, op) for op in inst.operands)
-            self._set(frame, inst, tv if cond else fv)
-        elif isinstance(inst, Produce):
-            self._require_io().produce(
-                inst.channel,
-                int(self._value(frame, inst.worker_select)) % inst.channel.n_channels,
-                self._value(frame, inst.value),
-            )
-            self._advance(frame)
-        elif isinstance(inst, ProduceBroadcast):
-            self._require_io().produce_broadcast(
-                inst.channel, self._value(frame, inst.value)
-            )
-            self._advance(frame)
-        elif isinstance(inst, Consume):
-            if inst.worker_select is not None:
-                index = int(self._value(frame, inst.worker_select)) % inst.channel.n_channels
-            else:
-                index = self.worker_id
-            ok, value = self._require_io().try_consume(inst.channel, index)
-            if not ok:
-                raise Blocked()
-            self._set(frame, inst, value)
-        elif isinstance(inst, StoreLiveout):
-            self._require_io().liveouts[inst.liveout_id] = self._value(
-                frame, inst.value
-            )
-            self._advance(frame)
-        elif isinstance(inst, RetrieveLiveout):
-            liveouts = self._require_io().liveouts
-            if inst.liveout_id not in liveouts:
-                raise InterpError(f"liveout #{inst.liveout_id} never stored")
-            self._set(frame, inst, liveouts[inst.liveout_id])
-        elif isinstance(inst, ParallelFork):
-            if self.fork_handler is None:
-                raise InterpError(
-                    "parallel_fork executed without a fork handler installed"
-                )
-            livein_values = [self._value(frame, v) for v in inst.liveins]
-            self.fork_handler.fork(inst, livein_values)
-            self._advance(frame)
-        elif isinstance(inst, ParallelJoin):
-            if self.fork_handler is None:
-                raise InterpError(
-                    "parallel_join executed without a fork handler installed"
-                )
-            self.fork_handler.join(inst.loop_id)
-            self._advance(frame)
-        else:
-            raise InterpError(f"cannot interpret opcode {inst.opcode}")
-
-    def _require_io(self) -> ChannelIO:
-        if self.channel_io is None:
-            raise InterpError("CGPA primitive executed without a ChannelIO")
-        return self.channel_io
-
-    def _binop(self, frame: _Frame, inst: BinaryOp):
-        a = self._value(frame, inst.lhs)
-        b = self._value(frame, inst.rhs)
-        op = inst.opcode
-        if op in FLOAT_BINOP_FUNCS:
-            try:
-                result = FLOAT_BINOP_FUNCS[op](a, b)
-            except ZeroDivisionError:
-                raise InterpError("float division by zero") from None
-            if isinstance(inst.type, FloatType) and inst.type.bits == 32:
-                result = round_f32(result)
-            return result
-        bits = inst.type.bits  # type: ignore[union-attr]
-        if op in ("udiv", "urem", "lshr", "ult"):
-            a = to_unsigned(a, bits)
-            b = to_unsigned(b, bits)
-        try:
-            raw = INT_BINOP_FUNCS[op](int(a), int(b))
-        except ZeroDivisionError:
-            raise InterpError("integer division by zero") from None
-        return wrap_int(raw, bits)
-
-    def _icmp(self, frame: _Frame, inst: ICmp) -> int:
-        a = self._value(frame, inst.lhs)
-        b = self._value(frame, inst.rhs)
-        if inst.pred.startswith("u") or inst.lhs.type.is_pointer:
-            bits = 32 if inst.lhs.type.is_pointer else inst.lhs.type.bits
-            a = to_unsigned(int(a), bits)
-            b = to_unsigned(int(b), bits)
-        return int(ICMP_FUNCS[inst.pred](a, b))
-
-    def _gep(self, frame: _Frame, inst: GEP) -> int:
-        addr = int(self._value(frame, inst.base))
-        pointee = inst.base.type.pointee  # type: ignore[union-attr]
-        indices = inst.indices
-        addr += pointee.size() * int(self._value(frame, indices[0]))
-        current = pointee
-        for idx in indices[1:]:
-            if isinstance(current, StructType):
-                field = int(idx.value)  # verified constant at construction
-                addr += current.field_offset(field)
-                current = current.field_type(field)
-            elif isinstance(current, ArrayType):
-                addr += current.element.size() * int(self._value(frame, idx))
-                current = current.element
-            else:
-                raise InterpError(f"gep through non-aggregate {current!r}")
-        return addr & 0xFFFFFFFF
-
-    def _cast(self, frame: _Frame, inst: Cast):
-        value = self._value(frame, inst.value)
-        op = inst.opcode
-        if op == "trunc":
-            return wrap_int(int(value), inst.type.bits)  # type: ignore[union-attr]
-        if op == "zext":
-            return to_unsigned(int(value), inst.value.type.bits)  # type: ignore[union-attr]
-        if op == "sext":
-            return int(value)
-        if op == "fptosi":
-            return wrap_int(int(value), inst.type.bits)  # type: ignore[union-attr]
-        if op == "sitofp":
-            result = float(value)
-            if isinstance(inst.type, FloatType) and inst.type.bits == 32:
-                result = round_f32(result)
-            return result
-        if op == "fpext":
-            return float(value)
-        if op == "fptrunc":
-            return round_f32(float(value))
-        if op in ("bitcast", "ptrtoint", "inttoptr"):
-            if inst.type.is_pointer or op == "ptrtoint":
-                return int(value) & 0xFFFFFFFF
-            return value
-        raise InterpError(f"cannot interpret cast {op}")
-
-    def _call(self, frame: _Frame, inst: Call) -> None:
-        callee = inst.callee
-        if callee.is_declaration:
-            if callee.name in MALLOC_NAMES:
-                size = int(self._value(frame, inst.args[0]))
-                site = self._alloc_sites.get(id(inst), -1)
-                self._set(frame, inst, self.memory.malloc(size, site))
-                return
-            raise InterpError(f"call to undefined function @{callee.name}")
-        new_frame = _Frame(callee, inst)
-        for formal, actual_value in zip(callee.args, inst.args):
-            new_frame.env[id(formal)] = self._value(frame, actual_value)
-        self._stack.append(new_frame)
-
-
-def _number_malloc_sites(module: Module) -> dict[int, int]:
-    """Deterministically number malloc call sites across the module.
-
-    The same numbering is used by the points-to analysis
-    (:mod:`repro.analysis.pointsto`), so static abstract objects and
-    runtime allocations correspond one-to-one.
-    """
-    sites: dict[int, int] = {}
-    counter = 0
-    for function in module.functions.values():
-        for inst in function.instructions():
-            if isinstance(inst, Call) and inst.callee.name in MALLOC_NAMES:
-                sites[id(inst)] = counter
-                counter += 1
-    return sites
+            while True:
+                body, tail, n = block.segments[i]
+                if steps + n > limit:
+                    frame.block, frame.index = block, i
+                    return
+                steps += n
+                for op in body:
+                    op(regs, self)
+                target = tail(regs, self)
+                if target is not None:
+                    block, i = target, 0
+                elif stack:
+                    frame = stack[-1]
+                    regs, block, i = frame.regs, frame.block, frame.index
+                else:
+                    return
+        except Blocked:
+            raise InterpError(_BLOCKED_OUTSIDE_SCHEDULER) from None
+        finally:
+            self.steps = steps
 
 
 def malloc_site_table(module: Module) -> dict[int, Call]:
-    """site id -> call instruction (the inverse of the numbering above)."""
-    table: dict[int, Call] = {}
-    counter = 0
-    for function in module.functions.values():
-        for inst in function.instructions():
-            if isinstance(inst, Call) and inst.callee.name in MALLOC_NAMES:
-                table[counter] = inst
-                counter += 1
-    return table
+    """site id -> call instruction (the inverse of the site numbering)."""
+    return {site: inst for inst, site in number_malloc_sites(module).items()}
 
 
 def _place_globals(module: Module, memory: Memory) -> dict[str, int]:

@@ -18,7 +18,6 @@ from dataclasses import dataclass
 
 from ..errors import InterpError
 from ..ir.types import (
-    ArrayType,
     FloatType,
     IntType,
     PointerType,
@@ -30,6 +29,8 @@ from ..ir.types import (
 HEAP_BASE = 0x1000
 #: Top of the 32-bit address space we allow.
 ADDRESS_LIMIT = 1 << 31
+
+_F32 = struct.Struct("<f")
 
 
 @dataclass
@@ -108,32 +109,34 @@ class Memory:
     # -- typed access ----------------------------------------------------------
 
     def load(self, addr: int, type_: Type) -> int | float:
-        if isinstance(type_, IntType):
-            size = type_.size()
-            raw = int.from_bytes(self.read_bytes(addr, size), "little", signed=False)
-            return _to_signed(raw, type_.bits) if type_.bits > 1 else raw & 1
-        if isinstance(type_, FloatType):
-            fmt = "<f" if type_.bits == 32 else "<d"
-            return struct.unpack(fmt, self.read_bytes(addr, type_.size()))[0]
-        if isinstance(type_, PointerType):
-            return int.from_bytes(self.read_bytes(addr, 4), "little")
-        raise InterpError(f"cannot load value of type {type_!r}")
+        return self.load_scalar(addr, scalar_codec(type_))
 
     def store(self, addr: int, type_: Type, value: int | float) -> None:
-        if isinstance(type_, IntType):
-            size = type_.size()
-            bits = max(type_.bits, 8)
-            raw = int(value) & ((1 << bits) - 1)
-            self.write_bytes(addr, raw.to_bytes(size, "little"))
-            return
-        if isinstance(type_, FloatType):
-            fmt = "<f" if type_.bits == 32 else "<d"
-            self.write_bytes(addr, struct.pack(fmt, float(value)))
-            return
-        if isinstance(type_, PointerType):
-            self.write_bytes(addr, (int(value) & 0xFFFFFFFF).to_bytes(4, "little"))
-            return
-        raise InterpError(f"cannot store value of type {type_!r}")
+        self.store_scalar(addr, scalar_codec(type_), value)
+
+    def load_scalar(self, addr: int, codec: "ScalarCodec") -> int | float:
+        """Typed load with a pre-resolved :func:`scalar_codec`."""
+        size = codec.size
+        data = self._data
+        if addr <= 0 or addr + size > len(data):
+            self._check(addr, size)
+            data = self._data
+        self.bytes_read += size
+        value = codec.unpack_from(data, addr)[0]
+        return value & 1 if codec.is_bit else value
+
+    def store_scalar(self, addr: int, codec: "ScalarCodec", value) -> None:
+        """Typed store with a pre-resolved :func:`scalar_codec`."""
+        size = codec.size
+        data = self._data
+        if addr <= 0 or addr + size > len(data):
+            self._check(addr, size)
+            data = self._data
+        self.bytes_written += size
+        if codec.mask:
+            codec.pack_into(data, addr, int(value) & codec.mask)
+        else:
+            codec.pack_into(data, addr, float(value))
 
     # -- structured helpers (used by workload builders and tests) -----------------
 
@@ -187,6 +190,47 @@ class Memory:
         return copy
 
 
+class ScalarCodec:
+    """How one scalar IR type sits in memory: width, struct format and
+    the store-side truncation (``mask`` 0 for floats)."""
+
+    __slots__ = ("size", "unpack_from", "pack_into", "mask", "is_bit")
+
+    def __init__(self, load_fmt: str, store_fmt: str, mask: int,
+                 is_bit: bool = False) -> None:
+        self.size = struct.calcsize(load_fmt)
+        self.unpack_from = struct.Struct(load_fmt).unpack_from
+        self.pack_into = struct.Struct(store_fmt).pack_into
+        self.mask = mask
+        self.is_bit = is_bit
+
+
+_INT_CODECS = {
+    1: ScalarCodec("<B", "<B", 0xFF, is_bit=True),
+    8: ScalarCodec("<b", "<B", 0xFF),
+    16: ScalarCodec("<h", "<H", 0xFFFF),
+    32: ScalarCodec("<i", "<I", 0xFFFFFFFF),
+    64: ScalarCodec("<q", "<Q", 0xFFFFFFFFFFFFFFFF),
+}
+_FLOAT_CODECS = {32: ScalarCodec("<f", "<f", 0), 64: ScalarCodec("<d", "<d", 0)}
+_POINTER_CODEC = ScalarCodec("<I", "<I", 0xFFFFFFFF)
+
+
+def scalar_codec(type_: Type) -> ScalarCodec:
+    """The load/store codec of a scalar IR type.
+
+    Integers load sign-extended (``i1`` as its low bit) and store their
+    low ``max(bits, 8)`` bits; pointers are unsigned 32-bit.
+    """
+    if isinstance(type_, IntType):
+        return _INT_CODECS[type_.bits]
+    if isinstance(type_, FloatType):
+        return _FLOAT_CODECS[type_.bits]
+    if isinstance(type_, PointerType):
+        return _POINTER_CODEC
+    raise InterpError(f"no scalar load/store for type {type_!r}")
+
+
 def _to_signed(raw: int, bits: int) -> int:
     if raw >= 1 << (bits - 1):
         return raw - (1 << bits)
@@ -214,6 +258,6 @@ def round_f32(value: float) -> float:
     hardware's single-precision units would.
     """
     try:
-        return struct.unpack("<f", struct.pack("<f", value))[0]
+        return _F32.unpack(_F32.pack(value))[0]
     except OverflowError:
         return float("inf") if value > 0 else float("-inf")

@@ -11,6 +11,7 @@ scheduler imposes the paper's constraints (1)-(4) on them.
 
 from __future__ import annotations
 
+import operator
 from typing import TYPE_CHECKING, Callable, Iterable
 
 from ..errors import IRError
@@ -421,7 +422,7 @@ class Phi(Instruction):
         return list(zip(self.operands, self.incoming_blocks))
 
     def incoming_for(self, block: "BasicBlock") -> Value:
-        for value, pred in self.incoming():
+        for value, pred in zip(self.operands, self.incoming_blocks):
             if pred is block:
                 return value
         raise IRError(f"phi has no incoming value for block {block.name}")
@@ -744,46 +745,46 @@ def _srem(a: int, b: int) -> int:
 
 
 INT_BINOP_FUNCS: dict[str, Callable[[int, int], int]] = {
-    "add": lambda a, b: a + b,
-    "sub": lambda a, b: a - b,
-    "mul": lambda a, b: a * b,
+    "add": operator.add,
+    "sub": operator.sub,
+    "mul": operator.mul,
     "sdiv": _sdiv,
     "srem": _srem,
-    "udiv": lambda a, b: a // b,
-    "urem": lambda a, b: a % b,
-    "and": lambda a, b: a & b,
-    "or": lambda a, b: a | b,
-    "xor": lambda a, b: a ^ b,
+    "udiv": operator.floordiv,
+    "urem": operator.mod,
+    "and": operator.and_,
+    "or": operator.or_,
+    "xor": operator.xor,
     "shl": lambda a, b: a << (b & 63),
     "ashr": lambda a, b: a >> (b & 63),
     "lshr": lambda a, b: a >> (b & 63),  # operands are wrapped unsigned first
 }
 
 FLOAT_BINOP_FUNCS: dict[str, Callable[[float, float], float]] = {
-    "fadd": lambda a, b: a + b,
-    "fsub": lambda a, b: a - b,
-    "fmul": lambda a, b: a * b,
-    "fdiv": lambda a, b: a / b,
+    "fadd": operator.add,
+    "fsub": operator.sub,
+    "fmul": operator.mul,
+    "fdiv": operator.truediv,
 }
 
 ICMP_FUNCS: dict[str, Callable[[int, int], bool]] = {
-    "eq": lambda a, b: a == b,
-    "ne": lambda a, b: a != b,
-    "slt": lambda a, b: a < b,
-    "sle": lambda a, b: a <= b,
-    "sgt": lambda a, b: a > b,
-    "sge": lambda a, b: a >= b,
-    "ult": lambda a, b: a < b,  # operands are wrapped unsigned first
-    "ule": lambda a, b: a <= b,
-    "ugt": lambda a, b: a > b,
-    "uge": lambda a, b: a >= b,
+    "eq": operator.eq,
+    "ne": operator.ne,
+    "slt": operator.lt,
+    "sle": operator.le,
+    "sgt": operator.gt,
+    "sge": operator.ge,
+    "ult": operator.lt,  # operands are wrapped unsigned first
+    "ule": operator.le,
+    "ugt": operator.gt,
+    "uge": operator.ge,
 }
 
 FCMP_FUNCS: dict[str, Callable[[float, float], bool]] = {
-    "oeq": lambda a, b: a == b,
-    "one": lambda a, b: a != b,
-    "olt": lambda a, b: a < b,
-    "ole": lambda a, b: a <= b,
-    "ogt": lambda a, b: a > b,
-    "oge": lambda a, b: a >= b,
+    "oeq": operator.eq,
+    "one": operator.ne,
+    "olt": operator.lt,
+    "ole": operator.le,
+    "ogt": operator.gt,
+    "oge": operator.ge,
 }

@@ -17,6 +17,7 @@ from __future__ import annotations
 from ..errors import SimulationError
 from ..interp.interpreter import ChannelIO, Interpreter, Status
 from ..interp.memory import Memory
+from ..interp.program import ProgramCache
 from ..ir.instructions import ParallelFork
 from ..ir.module import Module
 from .transform import TaskInfo
@@ -36,6 +37,8 @@ class FunctionalForkHandler:
         self.memory = memory
         self.global_addresses = global_addresses
         self.channel_io = channel_io if channel_io is not None else ChannelIO()
+        #: Task functions compiled once for every machine this handler forks.
+        self.programs = ProgramCache(module, global_addresses)
         self._pending: dict[int, list[Interpreter]] = {}
         #: Total interpreter steps spent inside tasks (for rough stats).
         self.task_steps = 0
@@ -52,6 +55,7 @@ class FunctionalForkHandler:
             channel_io=self.channel_io,
             worker_id=worker_id,
             global_addresses=self.global_addresses,
+            programs=self.programs,
         )
         machine.start(inst.task, args)
         self._pending.setdefault(inst.loop_id, []).append(machine)
